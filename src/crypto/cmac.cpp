@@ -105,6 +105,13 @@ std::uint64_t AesCmac::mac_truncated(std::span<const std::uint8_t> message,
 }
 
 void mac_truncated_batch(std::span<CmacWork> work) {
+  // One item has no chain to interleave with: the unrolled single-shot
+  // path beats one lane of the pipeline (the router's per-packet walk).
+  if (work.size() == 1) {
+    CmacWork& w = work.front();
+    w.result = w.cmac->mac_truncated({w.msg.data(), w.len}, w.bits);
+    return;
+  }
   // Up to 8 independent CBC chains advance in lockstep: round r XORs every
   // still-active lane's block r into its state, then one encrypt_batch call
   // pushes all active states through the AES backend together.

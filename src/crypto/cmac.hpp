@@ -41,7 +41,8 @@ struct CmacWork {
 /// Computes every item's truncated CMAC, equivalent to
 /// `w.result = w.cmac->mac_truncated({w.msg.data(), w.len}, w.bits)` per
 /// item, but with independent CBC chains interleaved through the AES
-/// backend's batch entry point. Items may reference distinct keys.
+/// backend's batch entry point. Items may reference distinct keys. A
+/// one-item span takes the unrolled mac_truncated() path instead.
 void mac_truncated_batch(std::span<CmacWork> work);
 
 /// AES-CMAC with a fixed key. Subkeys K1/K2 are derived once at

@@ -1,8 +1,7 @@
 // The run-to-completion batch data-plane engine: the scaling layer above
 // BorderRouter. A batch (mixed IPv4/IPv6) is partitioned by an RSS-style
-// flow hash onto N shards; each shard owns a BorderRouter plus a small
-// per-shard LPM lookup cache, and the per-shard RouterStats merge into one
-// aggregate via RouterStats::operator+=.
+// flow hash onto N shards; each shard owns a BorderRouter, and the
+// per-shard RouterStats merge into one aggregate via RouterStats::operator+=.
 //
 // Worker model (persistent, SPSC-fed — no per-batch thread fan-out):
 //  * Shard 0 always runs on the consumer thread. Shards 1..N-1 each own one
@@ -26,9 +25,8 @@
 //    through update_tables()/apply(), which quiesce the rings by taking the
 //    writer lock: a batch holds the reader lock from fan-out until every
 //    ring has drained, so the writer only ever runs between batches, with
-//    all workers parked and every ring empty. Every shard's LPM cache is
-//    flushed afterwards, so no batch ever sees a half-applied update or a
-//    stale cached verdict.
+//    all workers parked and every ring empty, so no batch ever sees a
+//    half-applied update.
 //  * Sinks (alarm samples, ICMPv6 PTB, traffic observations, flow reports)
 //    are collected per shard during the batch and drained on the calling
 //    thread after the rings quiesce — callbacks never run concurrently.
@@ -46,7 +44,6 @@
 #include <variant>
 #include <vector>
 
-#include "dataplane/lpm_cache.hpp"
 #include "dataplane/router.hpp"
 #include "dataplane/spsc_ring.hpp"
 #include "telemetry/metrics.hpp"
@@ -103,8 +100,7 @@ class PacketBatch {
 [[nodiscard]] std::uint32_t flow_hash(const BatchPacket& packet);
 
 struct EngineConfig {
-  std::size_t shards = 0;          // 0 = hardware_concurrency
-  std::size_t cache_slots = 1024;  // per-shard LPM cache; 0 disables it
+  std::size_t shards = 0;  // 0 = hardware_concurrency
   std::uint64_t rng_seed = 1;
   std::size_t external_mtu = 1500;
   /// SPSC work-ring slots per worker (rounded up to a power of two). Small
@@ -167,21 +163,15 @@ class DataPlaneEngine {
                        std::span<Verdict> verdicts, SimTime now);
 
   /// Applies `mutate` to the tables under the writer lock (quiescing the
-  /// worker rings) and flushes every shard's LPM cache. This is the only
-  /// safe way to change tables while the engine is live.
+  /// worker rings). This is the only safe way to change tables while the
+  /// engine is live.
   void update_tables(const std::function<void(RouterTables&)>& mutate);
 
   /// Applies a TableTransaction atomically: writer lock (rings quiesced,
-  /// workers parked), every op in order, one epoch bump, one
-  /// cache-generation flush. Returns the new table epoch. This is the
-  /// con-rou delivery endpoint — on sealed tables it is the only mutation
-  /// path that does not abort.
+  /// workers parked), every op in order, one epoch bump. Returns the new
+  /// table epoch. This is the con-rou delivery endpoint — on sealed tables
+  /// it is the only mutation path that does not abort.
   TableEpoch apply(const TableTransaction& txn, SimTime now);
-
-  /// Manually flushes every shard's LPM cache (update_tables already does;
-  /// this is the hook for table owners that mutate out-of-band while the
-  /// engine is known to be quiescent).
-  void invalidate_caches();
 
   void set_alarm_mode(bool on);
   void set_sampling_rate(std::uint32_t one_in_n);
@@ -194,13 +184,13 @@ class DataPlaneEngine {
 
   /// Registers this engine's metrics into `registry` (idempotent;
   /// re-binding replaces the previous binding): per-verdict sharded
-  /// counters, batch-size / per-shard queue-depth / LPM-cache-hit-rate /
-  /// CMAC-batch-occupancy histograms, an AES-backend info gauge, and a
-  /// pull-mode view over the merged RouterStats + cache stats + the worker
-  /// protocol counters (parks, doorbell wakeups, ring-full stalls, chunks),
-  /// all under `labels` (add e.g. {"as", "7"} to disambiguate engines). The
-  /// hot-path cost when bound is one relaxed atomic add per packet plus a
-  /// few histogram records per shard per batch; when unbound it is zero.
+  /// counters, batch-size / per-shard queue-depth / CMAC-batch-occupancy
+  /// histograms, an AES-backend info gauge, and a pull-mode view over the
+  /// merged RouterStats + the worker protocol counters (parks, doorbell
+  /// wakeups, ring-full stalls, chunks), all under `labels` (add e.g.
+  /// {"as", "7"} to disambiguate engines). The hot-path cost when bound is
+  /// one relaxed atomic add per packet plus a few histogram records per
+  /// shard per batch; when unbound it is zero.
   void bind_metrics(telemetry::MetricsRegistry& registry,
                     telemetry::Labels labels = {});
   /// Removes the pull-mode collector (safe to call when never bound).
@@ -214,8 +204,6 @@ class DataPlaneEngine {
   /// Per-shard RouterStats merged into one aggregate (cumulative since
   /// construction). Blocks until any in-flight batch completes.
   [[nodiscard]] RouterStats stats() const;
-  /// Summed per-shard LPM-cache hit/miss counters.
-  [[nodiscard]] LpmLookupCache::Stats cache_stats() const;
 
   /// Worker-protocol counters, cumulative since construction. Cheap
   /// relaxed-atomic reads; safe from any thread at any time.
@@ -241,20 +229,16 @@ class DataPlaneEngine {
  private:
   struct Shard {
     Shard(std::size_t id_in, const RouterTables& tables, AsNumber local_as,
-          std::uint64_t seed, std::size_t mtu, std::size_t cache_slots)
-        : id(id_in),
-          router(tables, local_as, seed, mtu),
-          cache(cache_slots == 0 ? 1 : cache_slots) {}
+          std::uint64_t seed, std::size_t mtu)
+        : id(id_in), router(tables, local_as, seed, mtu) {}
 
     std::size_t id;  // shard index: cell selector for the sharded counters
     BorderRouter router;
-    LpmLookupCache cache;
     std::vector<std::uint32_t> indices;  // batch scratch: packets of this shard
     std::vector<AlarmSample> alarms;
     std::vector<Ipv6Packet> icmp6;
     std::vector<std::pair<Ipv4Address, SimTime>> observed;
     std::vector<FlowReport> flow_reports;
-    LpmLookupCache::Stats cache_before;  // per-batch hit-rate delta scratch
   };
 
   /// An index range into one shard's per-batch `indices` list. The worker
@@ -291,7 +275,6 @@ class DataPlaneEngine {
     telemetry::ShardedCounter* verdicts[4] = {};  // indexed by Verdict
     telemetry::Histogram* batch_size = nullptr;
     telemetry::Histogram* queue_depth = nullptr;
-    telemetry::Histogram* cache_hit_rate = nullptr;
     telemetry::MetricsRegistry::CollectorId collector = 0;
   };
 
@@ -312,17 +295,11 @@ class DataPlaneEngine {
   void wait_for(Worker& worker);
   void drain_sinks();
   [[nodiscard]] std::size_t autotune_chunk(std::size_t shard_occupancy);
-  void record_batch_telemetry();
-  /// Retires the per-shard LPM caches once the tables are sealed (the
-  /// compiled flat arrays make a cache in front of them pure overhead).
-  void maybe_demote_caches();
 
   RouterTables* tables_;
   EngineConfig config_;
   mutable std::shared_mutex mutex_;  // shared: batch; unique: update/stats
   std::vector<std::unique_ptr<Shard>> shards_;
-  bool cache_enabled_;
-  bool caches_demoted_ = false;
   std::function<void(const AlarmSample&)> alarm_sink_;
   std::function<void(Ipv6Packet)> icmp6_sink_;
   std::function<void(Ipv4Address, SimTime)> traffic_observer_;

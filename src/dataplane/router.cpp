@@ -9,7 +9,9 @@ namespace {
 constexpr std::size_t kPrefetchLookahead = 8;
 }  // namespace
 
-Verdict BorderRouter::process_outbound(Ipv4Packet& packet, SimTime now) {
+template <typename Packet>
+Verdict BorderRouter::outbound_a(Packet& packet, std::uint32_t idx,
+                                 SimTime now) {
   ++stats_.out_processed;
   const OutTuple tuple =
       tuples_.out_tuple(packet.header.src, packet.header.dst, now);
@@ -17,31 +19,17 @@ Verdict BorderRouter::process_outbound(Ipv4Packet& packet, SimTime now) {
     ++stats_.out_dropped;
     return Verdict::kDropFiltered;
   }
-  if (tuple.stamp) {
+  if (!tuple.stamp) return Verdict::kPass;
+  bool fragmented = false;
+  if constexpr (std::is_same_v<Packet, Ipv4Packet>) {
     // §V-E collateral: a fragment's IPID/offset are load-bearing; stamping
     // over them breaks reassembly for this flow. The paper accepts this
     // (~0.06% of traffic) for prefixes under active attack; we count it.
-    const bool fragmented =
+    fragmented =
         (packet.header.flags & 0x1) != 0 || packet.header.fragment_offset != 0;
-    ipv4_stamp(packet, tuple.key_s->active_mac);
-    ++stats_.out_stamped;
-    stats_.fragments_stamped += fragmented;
-  }
-  return Verdict::kPass;
-}
-
-Verdict BorderRouter::process_outbound(Ipv6Packet& packet, SimTime now) {
-  ++stats_.out_processed;
-  const OutTuple tuple =
-      tuples_.out_tuple(packet.header.src, packet.header.dst, now);
-  if (tuple.drop) {
-    ++stats_.out_dropped;
-    return Verdict::kDropFiltered;
-  }
-  if (tuple.stamp) {
-    const Ipv6StampOutcome outcome =
-        ipv6_stamp(packet, tuple.key_s->active_mac, mtu_);
-    if (outcome.too_big) {
+    ipv4_mark_work(packet, tuple.key_s->active_mac, mac_work_.emplace_back());
+  } else {
+    if (ipv6_stamp_would_exceed(packet, mtu_)) {
       ++stats_.out_too_big;
       if (icmp6_sink_) {
         // Advertise 8 bytes below the external-link MTU so the retried
@@ -52,77 +40,98 @@ Verdict BorderRouter::process_outbound(Ipv6Packet& packet, SimTime now) {
       }
       return Verdict::kDropTooBig;
     }
-    ++stats_.out_stamped;
+    ipv6_mark_work(packet, tuple.key_s->active_mac, mac_work_.emplace_back());
   }
+  pending_out_.push_back(
+      {idx, static_cast<std::uint32_t>(mac_work_.size() - 1), fragmented});
   return Verdict::kPass;
 }
 
-Verdict BorderRouter::apply_verify(Ipv4Packet& packet, const InTuple& tuple) {
-  if (tuple.erase_only || tuple.key_v == nullptr) {
-    // Tolerance interval, or the source is not a peer: erase-or-pass.
-    if (tuple.erase_only) {
-      ipv4_erase(packet, rng_);
-      ++stats_.in_erased_tolerance;
-    } else {
-      ++stats_.in_passed_unverified;
-    }
-    return Verdict::kPass;
+template <typename Packet>
+void BorderRouter::outbound_b(Packet& packet, const PendingOut& pending) {
+  const auto mark = static_cast<std::uint32_t>(mac_work_[pending.work].result);
+  if constexpr (std::is_same_v<Packet, Ipv4Packet>) {
+    ipv4_stamp_precomputed(packet, mark);
+    stats_.fragments_stamped += pending.fragmented;
+  } else {
+    ipv6_stamp_precomputed(packet, mark);
   }
-  const AesCmac* grace = tuple.key_v->previous_mac ? &*tuple.key_v->previous_mac
-                                                   : nullptr;
-  const VerifyResult result =
-      ipv4_verify(packet, tuple.key_v->active_mac, grace, rng_);
-  if (result == VerifyResult::kValid) {
-    ++stats_.in_verified;
-    return Verdict::kPass;
-  }
-  return Verdict::kDropSpoofed;
-}
-
-Verdict BorderRouter::apply_verify(Ipv6Packet& packet, const InTuple& tuple) {
-  if (tuple.erase_only || tuple.key_v == nullptr) {
-    if (tuple.erase_only) {
-      ipv6_erase(packet);
-      ++stats_.in_erased_tolerance;
-    } else {
-      ++stats_.in_passed_unverified;
-    }
-    return Verdict::kPass;
-  }
-  const AesCmac* grace = tuple.key_v->previous_mac ? &*tuple.key_v->previous_mac
-                                                   : nullptr;
-  const VerifyResult result =
-      ipv6_verify(packet, tuple.key_v->active_mac, grace);
-  if (result == VerifyResult::kValid) {
-    ++stats_.in_verified;
-    return Verdict::kPass;
-  }
-  return Verdict::kDropSpoofed;
+  ++stats_.out_stamped;
 }
 
 template <typename Packet>
-Verdict BorderRouter::inbound_impl(Packet& packet, SimTime now) {
+Verdict BorderRouter::inbound_a(Packet& packet, std::uint32_t idx,
+                                SimTime now) {
   ++stats_.in_processed;
-
+  // The detector tap sees every IPv4 packet; then §VI-E2: scrub marks
+  // echoed inside inbound ICMP Time Exceeded messages before they can
+  // reach a snooping host.
   if constexpr (std::is_same_v<Packet, Ipv4Packet>) {
     if (traffic_observer_) traffic_observer_(packet.header.dst, now);
-  }
-
-  // §VI-E2: scrub marks echoed inside inbound ICMP Time Exceeded messages
-  // before they can reach a snooping host.
-  if constexpr (std::is_same_v<Packet, Ipv4Packet>) {
     if (scrub_quoted_mark_v4(packet)) ++stats_.icmp_scrubbed;
   } else {
     if (scrub_quoted_mark_v6(packet)) ++stats_.icmp_scrubbed;
   }
-
   const InTuple tuple =
       tuples_.in_tuple(packet.header.src, packet.header.dst, now);
   if (!tuple.verify) return Verdict::kPass;
+  PendingIn pending{idx, /*work=*/-1, tuple, /*mark_absent=*/false};
+  // Tolerance interval or a non-peer source: erase-or-pass, no MAC.
+  if (!tuple.erase_only && tuple.key_v != nullptr) {
+    bool absent = false;
+    if constexpr (std::is_same_v<Packet, Ipv6Packet>) {
+      absent = !ipv6_read_mark(packet).has_value();
+    }
+    if (absent) {
+      pending.mark_absent = true;
+    } else {
+      pending.work = static_cast<std::int32_t>(mac_work_.size());
+      if constexpr (std::is_same_v<Packet, Ipv4Packet>) {
+        ipv4_mark_work(packet, tuple.key_v->active_mac,
+                       mac_work_.emplace_back());
+      } else {
+        ipv6_mark_work(packet, tuple.key_v->active_mac,
+                       mac_work_.emplace_back());
+      }
+    }
+  }
+  pending_in_.push_back(pending);
+  return Verdict::kPass;  // provisional; phase B finalizes
+}
 
-  const Verdict verdict = apply_verify(packet, tuple);
-  if (verdict != Verdict::kDropSpoofed) return verdict;
-
+template <typename Packet>
+Verdict BorderRouter::inbound_b(Packet& packet, const PendingIn& pending,
+                                SimTime now) {
+  const InTuple& tuple = pending.tuple;
+  if (tuple.erase_only) {
+    if constexpr (std::is_same_v<Packet, Ipv4Packet>) {
+      ipv4_erase(packet, rng_);
+    } else {
+      ipv6_erase(packet);
+    }
+    ++stats_.in_erased_tolerance;
+    return Verdict::kPass;
+  }
+  if (tuple.key_v == nullptr) {
+    ++stats_.in_passed_unverified;
+    return Verdict::kPass;
+  }
+  const AesCmac* grace =
+      tuple.key_v->previous_mac ? &*tuple.key_v->previous_mac : nullptr;
+  VerifyResult result = VerifyResult::kAbsent;
+  if (!pending.mark_absent) {
+    const auto expected = static_cast<std::uint32_t>(
+        mac_work_[static_cast<std::size_t>(pending.work)].result);
+    if constexpr (std::is_same_v<Packet, Ipv4Packet>) {
+      result = ipv4_verify_precomputed(packet, expected, grace, rng_);
+    } else {
+      result = ipv6_verify_precomputed(packet, expected, grace);
+    }
+  }
+  if (result == VerifyResult::kValid) {
+    ++stats_.in_verified;
+    return Verdict::kPass;
+  }
   return spoof_consequence(
       packet, tuple,
       {now, tables_->pfx2as.lookup(packet.header.src), /*inbound=*/true});
@@ -170,12 +179,41 @@ Verdict BorderRouter::spoof_consequence(const Packet& packet,
   return verdict;
 }
 
+template <typename Packet>
+Verdict BorderRouter::outbound_one(Packet& packet, SimTime now) {
+  mac_work_.clear();
+  pending_out_.clear();
+  const Verdict verdict = outbound_a(packet, 0, now);
+  if (pending_out_.empty()) return verdict;
+  mac_truncated_batch(mac_work_);
+  outbound_b(packet, pending_out_.front());
+  return verdict;
+}
+
+template <typename Packet>
+Verdict BorderRouter::inbound_one(Packet& packet, SimTime now) {
+  mac_work_.clear();
+  pending_in_.clear();
+  const Verdict verdict = inbound_a(packet, 0, now);
+  if (pending_in_.empty()) return verdict;
+  mac_truncated_batch(mac_work_);
+  return inbound_b(packet, pending_in_.front(), now);
+}
+
+Verdict BorderRouter::process_outbound(Ipv4Packet& packet, SimTime now) {
+  return outbound_one(packet, now);
+}
+
+Verdict BorderRouter::process_outbound(Ipv6Packet& packet, SimTime now) {
+  return outbound_one(packet, now);
+}
+
 Verdict BorderRouter::process_inbound(Ipv4Packet& packet, SimTime now) {
-  return inbound_impl(packet, now);
+  return inbound_one(packet, now);
 }
 
 Verdict BorderRouter::process_inbound(Ipv6Packet& packet, SimTime now) {
-  return inbound_impl(packet, now);
+  return inbound_one(packet, now);
 }
 
 void BorderRouter::process_outbound_batch(std::span<BatchPacket> packets,
@@ -184,10 +222,9 @@ void BorderRouter::process_outbound_batch(std::span<BatchPacket> packets,
                                           SimTime now) {
   mac_work_.clear();
   pending_out_.clear();
-  // Phase A: table lookups, drop/too-big decisions, and mark-work
-  // collection, in index order. The lookahead hints the sealed tables'
-  // root lines a few packets early so their likely-cold loads overlap the
-  // lookups in between (no-op on the cache and unsealed-trie paths).
+  // Phase A in index order. The lookahead hints the sealed tables' root
+  // lines a few packets early so their likely-cold loads overlap the
+  // lookups in between (no-op on unsealed tries).
   for (std::size_t i = 0; i < indices.size(); ++i) {
     if (i + kPrefetchLookahead < indices.size()) {
       std::visit(
@@ -198,40 +235,7 @@ void BorderRouter::process_outbound_batch(std::span<BatchPacket> packets,
     }
     const std::uint32_t idx = indices[i];
     verdicts[idx] = std::visit(
-        [&](auto& packet) -> Verdict {
-          using Packet = std::decay_t<decltype(packet)>;
-          ++stats_.out_processed;
-          const OutTuple tuple =
-              tuples_.out_tuple(packet.header.src, packet.header.dst, now);
-          if (tuple.drop) {
-            ++stats_.out_dropped;
-            return Verdict::kDropFiltered;
-          }
-          if (!tuple.stamp) return Verdict::kPass;
-          if constexpr (std::is_same_v<Packet, Ipv4Packet>) {
-            const bool fragmented = (packet.header.flags & 0x1) != 0 ||
-                                    packet.header.fragment_offset != 0;
-            pending_out_.push_back(
-                {idx, static_cast<std::uint32_t>(mac_work_.size()), fragmented});
-            ipv4_mark_work(packet, tuple.key_s->active_mac,
-                           mac_work_.emplace_back());
-          } else {
-            if (ipv6_stamp_would_exceed(packet, mtu_)) {
-              ++stats_.out_too_big;
-              if (icmp6_sink_) {
-                icmp6_sink_(build_packet_too_big_v6(
-                    packet, packet.header.src /* router speaks for the path */,
-                    static_cast<std::uint32_t>(mtu_ - 8)));
-              }
-              return Verdict::kDropTooBig;
-            }
-            pending_out_.push_back(
-                {idx, static_cast<std::uint32_t>(mac_work_.size()), false});
-            ipv6_mark_work(packet, tuple.key_s->active_mac,
-                           mac_work_.emplace_back());
-          }
-          return Verdict::kPass;
-        },
+        [&](auto& packet) { return outbound_a(packet, idx, now); },
         packets[idx]);
   }
   // All marks in one pipelined pass, then phase B writes them in order.
@@ -240,20 +244,8 @@ void BorderRouter::process_outbound_batch(std::span<BatchPacket> packets,
   }
   mac_truncated_batch(mac_work_);
   for (const PendingOut& pending : pending_out_) {
-    const auto mark =
-        static_cast<std::uint32_t>(mac_work_[pending.work].result);
-    std::visit(
-        [&](auto& packet) {
-          if constexpr (std::is_same_v<std::decay_t<decltype(packet)>,
-                                       Ipv4Packet>) {
-            ipv4_stamp_precomputed(packet, mark);
-            stats_.fragments_stamped += pending.fragmented;
-          } else {
-            ipv6_stamp_precomputed(packet, mark);
-          }
-          ++stats_.out_stamped;
-        },
-        packets[pending.idx]);
+    std::visit([&](auto& packet) { outbound_b(packet, pending); },
+               packets[pending.idx]);
   }
 }
 
@@ -263,10 +255,8 @@ void BorderRouter::process_inbound_batch(std::span<BatchPacket> packets,
                                          SimTime now) {
   mac_work_.clear();
   pending_in_.clear();
-  // Phase A: observation, scrubbing, table lookups and mark-work
-  // collection, in index order. Verification outcomes (and the RNG-driven
-  // mark erasure) wait for phase B so their order matches the per-packet
-  // path exactly. Lookahead as in the outbound phase A.
+  // Phase A in index order; verification outcomes (and the RNG-driven mark
+  // erasure) wait for phase B. Lookahead as in the outbound phase A.
   for (std::size_t i = 0; i < indices.size(); ++i) {
     if (i + kPrefetchLookahead < indices.size()) {
       std::visit(
@@ -277,40 +267,7 @@ void BorderRouter::process_inbound_batch(std::span<BatchPacket> packets,
     }
     const std::uint32_t idx = indices[i];
     verdicts[idx] = std::visit(
-        [&](auto& packet) -> Verdict {
-          using Packet = std::decay_t<decltype(packet)>;
-          ++stats_.in_processed;
-          if constexpr (std::is_same_v<Packet, Ipv4Packet>) {
-            if (traffic_observer_) traffic_observer_(packet.header.dst, now);
-            if (scrub_quoted_mark_v4(packet)) ++stats_.icmp_scrubbed;
-          } else {
-            if (scrub_quoted_mark_v6(packet)) ++stats_.icmp_scrubbed;
-          }
-          const InTuple tuple =
-              tuples_.in_tuple(packet.header.src, packet.header.dst, now);
-          if (!tuple.verify) return Verdict::kPass;
-          PendingIn pending{idx, /*work=*/-1, tuple, /*mark_absent=*/false};
-          if (!tuple.erase_only && tuple.key_v != nullptr) {
-            bool absent = false;
-            if constexpr (std::is_same_v<Packet, Ipv6Packet>) {
-              absent = !ipv6_read_mark(packet).has_value();
-            }
-            if (absent) {
-              pending.mark_absent = true;
-            } else {
-              pending.work = static_cast<std::int32_t>(mac_work_.size());
-              if constexpr (std::is_same_v<Packet, Ipv4Packet>) {
-                ipv4_mark_work(packet, tuple.key_v->active_mac,
-                               mac_work_.emplace_back());
-              } else {
-                ipv6_mark_work(packet, tuple.key_v->active_mac,
-                               mac_work_.emplace_back());
-              }
-            }
-          }
-          pending_in_.push_back(pending);
-          return Verdict::kPass;  // provisional; phase B finalizes
-        },
+        [&](auto& packet) { return inbound_a(packet, idx, now); },
         packets[idx]);
   }
   if (cmac_occupancy_ != nullptr && !indices.empty()) {
@@ -319,53 +276,7 @@ void BorderRouter::process_inbound_batch(std::span<BatchPacket> packets,
   mac_truncated_batch(mac_work_);
   for (const PendingIn& pending : pending_in_) {
     verdicts[pending.idx] = std::visit(
-        [&](auto& packet) -> Verdict {
-          using Packet = std::decay_t<decltype(packet)>;
-          const InTuple& tuple = pending.tuple;
-          if (tuple.erase_only) {
-            if constexpr (std::is_same_v<Packet, Ipv4Packet>) {
-              ipv4_erase(packet, rng_);
-            } else {
-              ipv6_erase(packet);
-            }
-            ++stats_.in_erased_tolerance;
-            return Verdict::kPass;
-          }
-          if (tuple.key_v == nullptr) {
-            ++stats_.in_passed_unverified;
-            return Verdict::kPass;
-          }
-          const AesCmac* grace = tuple.key_v->previous_mac
-                                     ? &*tuple.key_v->previous_mac
-                                     : nullptr;
-          VerifyResult result;
-          if constexpr (std::is_same_v<Packet, Ipv4Packet>) {
-            result = ipv4_verify_precomputed(
-                packet,
-                static_cast<std::uint32_t>(mac_work_[static_cast<std::size_t>(
-                                                         pending.work)]
-                                               .result),
-                grace, rng_);
-          } else {
-            result =
-                pending.mark_absent
-                    ? VerifyResult::kAbsent
-                    : ipv6_verify_precomputed(
-                          packet,
-                          static_cast<std::uint32_t>(
-                              mac_work_[static_cast<std::size_t>(pending.work)]
-                                  .result),
-                          grace);
-          }
-          if (result == VerifyResult::kValid) {
-            ++stats_.in_verified;
-            return Verdict::kPass;
-          }
-          return spoof_consequence(
-              packet, tuple,
-              {now, tables_->pfx2as.lookup(packet.header.src),
-               /*inbound=*/true});
-        },
+        [&](auto& packet) { return inbound_b(packet, pending, now); },
         packets[pending.idx]);
   }
 }

@@ -122,6 +122,10 @@ class BorderRouter {
   void set_alarm_mode(bool on) { alarm_mode_ = on; }
   [[nodiscard]] bool alarm_mode() const { return alarm_mode_; }
 
+  // Sink contract (alarm, flow, ICMPv6 and the traffic observer): a sink
+  // runs in the middle of a walk and must not re-enter this router —
+  // per-packet and batch calls share its walk scratch.
+
   /// Receives alarm-mode samples. By default every identified packet is
   /// reported; set_sampling_rate(n) reports 1-in-n (NetFlow/sFlow style,
   /// §IV-F) — sampling is deterministic-random from the router's stream.
@@ -159,12 +163,9 @@ class BorderRouter {
     traffic_observer_ = std::move(observer);
   }
 
-  /// Installs a per-worker LPM lookup cache in front of the table lookups
-  /// (engine shards use this); nullptr removes it. The cache must only ever
-  /// be driven by this router's processing thread.
-  void set_lookup_cache(LpmLookupCache* cache) { tuples_.set_lookup_cache(cache); }
-
   /// Processes a packet leaving the local AS through this border router.
+  /// Runs the batch walk below over this one packet: phase A, a one-item
+  /// MAC flush, phase B. No packet copy, no allocation after warm-up.
   Verdict process_outbound(Ipv4Packet& packet, SimTime now);
   Verdict process_outbound(Ipv6Packet& packet, SimTime now);
 
@@ -190,23 +191,9 @@ class BorderRouter {
   [[nodiscard]] AsNumber local_as() const { return tuples_.local_as(); }
 
  private:
-  template <typename Packet>
-  Verdict inbound_impl(Packet& packet, SimTime now);
-
-  /// Applies the verify/erase decision; returns the verdict contribution.
-  Verdict apply_verify(Ipv4Packet& packet, const InTuple& tuple);
-  Verdict apply_verify(Ipv6Packet& packet, const InTuple& tuple);
-
-  /// The §V-C spoof consequence shared by the serial and batch paths:
-  /// count, report (alarm sample + flow report under one sampling
-  /// decision), and decide pass (alarm mode) vs drop.
-  template <typename Packet>
-  Verdict spoof_consequence(const Packet& packet, const InTuple& tuple,
-                            const AlarmSample& sample);
-
-  // Batch-pipeline scratch (one packet that still needs phase B, and its
-  // deferred MAC slot when one was queued). Kept as members so repeated
-  // batches reuse the allocations.
+  // Walk scratch (one packet that still needs phase B, and its deferred
+  // MAC slot when one was queued), shared by both entry kinds. Kept as
+  // members so repeated calls reuse the allocations.
   struct PendingOut {
     std::uint32_t idx;
     std::uint32_t work;
@@ -218,6 +205,32 @@ class BorderRouter {
     InTuple tuple;
     bool mark_absent;  // IPv6 packet with no DISCS option
   };
+
+  // The §V-C walk for one packet, shared by both entry kinds. Phase A:
+  // tuple lookup and the drop/too-big decisions (outbound), or
+  // observation, scrubbing and the verify decision (inbound); a packet
+  // that needs a MAC queues it in mac_work_, and itself (tagged `idx`) in
+  // pending_out_/pending_in_. Phase B runs after the flush: write the
+  // mark, or judge/erase it. Inbound phase-A verdicts are provisional.
+  template <typename Packet>
+  Verdict outbound_a(Packet& packet, std::uint32_t idx, SimTime now);
+  template <typename Packet>
+  void outbound_b(Packet& packet, const PendingOut& pending);
+  template <typename Packet>
+  Verdict inbound_a(Packet& packet, std::uint32_t idx, SimTime now);
+  template <typename Packet>
+  Verdict inbound_b(Packet& packet, const PendingIn& pending, SimTime now);
+  /// The per-packet entry points: phase A, flush, phase B over one packet.
+  template <typename Packet>
+  Verdict outbound_one(Packet& packet, SimTime now);
+  template <typename Packet>
+  Verdict inbound_one(Packet& packet, SimTime now);
+
+  /// The §V-C spoof consequence: count, report (alarm sample + flow report
+  /// under one sampling decision), and decide pass (alarm mode) vs drop.
+  template <typename Packet>
+  Verdict spoof_consequence(const Packet& packet, const InTuple& tuple,
+                            const AlarmSample& sample);
 
   const RouterTables* tables_;
   TupleGenerator tuples_;

@@ -483,9 +483,6 @@ bool Parser::handle_line(const std::vector<std::string>& t) {
     if (spec.engine.shards > 64) return fail("engine.shards outside [0, 64]");
     return true;
   }
-  if (key == "engine.cache_slots") {
-    return read_count(v, &spec.engine.cache_slots);
-  }
   if (key == "engine.ring_slots") {
     if (!read_count(v, &spec.engine.ring_slots)) return false;
     if (spec.engine.ring_slots < 2) return fail("engine.ring_slots must be >= 2");
@@ -751,7 +748,6 @@ std::string serialize_scenario(const ScenarioSpec& spec) {
   out << "fault.seed " << format_u64(spec.fault.seed) << "\n";
 
   out << "engine.shards " << spec.engine.shards << "\n";
-  out << "engine.cache_slots " << spec.engine.cache_slots << "\n";
   out << "engine.ring_slots " << spec.engine.ring_slots << "\n";
   out << "engine.min_chunk " << spec.engine.min_chunk << "\n";
   out << "engine.max_chunk " << spec.engine.max_chunk << "\n";

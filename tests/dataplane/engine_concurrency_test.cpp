@@ -2,7 +2,7 @@
 // deploy/undeploy of verify windows and two-phase re-keying land mid-stream
 // via update_tables(). Invariants checked:
 //  * genuinely stamped traffic is NEVER dropped, whatever the interleaving —
-//    a stale cached verdict or a torn key-table read would break this;
+//    a torn key-table read would break this;
 //  * no counter loss: merged RouterStats account for every packet and every
 //    drop verdict the consumer observed;
 //  * runs clean under TSan (the CI tsan job builds exactly this binary).
@@ -79,7 +79,6 @@ TEST(EngineConcurrencyTest, UpdatesMidStreamNeverDropGenuineTraffic) {
   SharedTables shared;
   EngineConfig config;
   config.shards = 4;
-  config.cache_slots = 256;
   DataPlaneEngine engine(shared.victim, kVictimAs, config);
 
   constexpr int kBatches = 150;
@@ -93,7 +92,7 @@ TEST(EngineConcurrencyTest, UpdatesMidStreamNeverDropGenuineTraffic) {
     bool deployed = true;
     bool key_is_a = true;
     while (!stop.load(std::memory_order_acquire)) {
-      switch (rng.below(3)) {
+      switch (rng.below(2)) {
         case 0:  // two-phase re-key: the old key stays valid as grace key
           key_is_a = !key_is_a;
           engine.update_tables([&](RouterTables& t) {
@@ -110,9 +109,6 @@ TEST(EngineConcurrencyTest, UpdatesMidStreamNeverDropGenuineTraffic) {
               SharedTables::undeploy(t);
             }
           });
-          break;
-        case 2:  // out-of-band flush must also be safe at any time
-          engine.invalidate_caches();
           break;
       }
       updates.fetch_add(1, std::memory_order_relaxed);
@@ -161,11 +157,6 @@ TEST(EngineConcurrencyTest, UpdatesMidStreamNeverDropGenuineTraffic) {
   EXPECT_EQ(stats.in_spoof_dropped, 0u);
   EXPECT_EQ(stats.in_spoof_sampled, 0u);
   EXPECT_GT(updates.load(), 0u);
-
-  // Every packet drove at least the two function-table lookups through the
-  // per-shard caches (plus a Pfx2AS lookup when the window was live).
-  const auto cache = engine.cache_stats();
-  EXPECT_GE(cache.hits + cache.misses, processed * 2);
 }
 
 // Spoofed traffic is judged against whatever table state its batch ran

@@ -79,7 +79,6 @@ TEST(EngineStressTest, ApplyChurnWhileWorkersDrainTinyRings) {
   config.ring_slots = 2;  // constant wraparound + producer backpressure
   config.min_chunk = 1;   // every packet is its own work item
   config.max_chunk = 1;
-  config.cache_slots = 64;
   DataPlaneEngine engine(env.victim, kVictimAs, config);
   engine.start();
   ASSERT_TRUE(engine.workers_running());

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <variant>
+#include <vector>
+
 namespace discs {
 namespace {
 
@@ -293,6 +297,255 @@ TEST_F(RouterPairTest, StatsCountersaccount) {
   EXPECT_EQ(peer_router_.stats().out_processed, 2u);
   EXPECT_EQ(peer_router_.stats().out_stamped, 1u);
   EXPECT_EQ(peer_router_.stats().out_dropped, 1u);
+}
+
+// ---- One walk, two entry kinds -------------------------------------------
+//
+// The per-packet entry points and the batch entry points run the same
+// phase-A / flush / phase-B walk over shared scratch vectors. Interleaving
+// the two on one router must be indistinguishable from per-packet calls
+// only: same verdicts, packet bytes (marks and RNG erasure), RouterStats,
+// ICMPv6 output, alarm samples and flow reports. Any state carried from one
+// call's scratch into the next would break this.
+
+/// Everything a router under test emits through its sinks.
+struct SinkLog {
+  std::vector<std::vector<std::uint8_t>> icmp6;
+  std::vector<AlarmSample> alarms;
+  std::vector<FlowReport> flows;
+};
+
+void attach_sinks(BorderRouter& router, SinkLog& log) {
+  router.set_alarm_mode(true);
+  router.set_sampling_rate(3);  // the 1-in-n draw shares the erasure RNG
+  router.set_icmp6_sink(
+      [&log](Ipv6Packet m) { log.icmp6.push_back(m.serialize()); });
+  router.set_alarm_sink(
+      [&log](const AlarmSample& a) { log.alarms.push_back(a); });
+  router.set_flow_sink(
+      [&log](const FlowReport& r) { log.flows.push_back(r); });
+}
+
+std::vector<std::uint8_t> wire(const BatchPacket& packet) {
+  return std::visit([](const auto& p) { return p.serialize(); }, packet);
+}
+
+TEST(RouterWalkTest, InterleavedPerPacketAndBatchCallsMatchPerPacketOnly) {
+  constexpr SimTime kNow = 10 * kSecond;
+  constexpr std::size_t kMtu = 256;
+  const Key128 k_pv = derive_key128(11);   // peer -> victim, current
+  const Key128 k_old = derive_key128(33);  // peer -> victim, grace
+  const Key128 k_vp = derive_key128(22);   // victim -> peer
+
+  // The victim's router runs both directions on one table set.
+  RouterTables victim;
+  fill_pfx2as(victim.pfx2as);
+  victim.key_v.set_key(kPeerAs, k_old);
+  victim.key_v.set_key(kPeerAs, k_pv);  // k_old stays as the grace key
+  victim.key_s.set_key(kPeerAs, k_vp);
+  victim.out_dst.install(pfx("10.0.0.0/8"), DefenseFunction::kCdpStamp, 0,
+                         kHour);
+  victim.out_dst.install(*Prefix6::parse("2001:db8:a::/48"),
+                         DefenseFunction::kCdpStamp, 0, kHour);
+  victim.out_dst.install(pfx("10.1.0.0/16"), DefenseFunction::kDp, 0, kHour);
+  victim.in_dst.install(pfx("20.1.0.0/16"), DefenseFunction::kCdpVerify, 0,
+                        kHour);
+  // Started 1 s ago: inside the 2 s head tolerance, so erase-only.
+  victim.in_dst.install(pfx("20.2.0.0/16"), DefenseFunction::kCdpVerify,
+                        kNow - kSecond, kHour);
+  victim.in_dst.install(*Prefix6::parse("2001:db8:b::/48"),
+                        DefenseFunction::kCdpVerify, 0, kHour);
+
+  // Peer-side stampers mint inbound marks under the current and the grace
+  // key; a victim-side stamper marks the headers Time Exceeded quotes.
+  RouterTables peer_now;
+  RouterTables peer_old;
+  for (auto* t : {&peer_now, &peer_old}) {
+    fill_pfx2as(t->pfx2as);
+    t->out_dst.install(pfx("20.0.0.0/8"), DefenseFunction::kCdpStamp, 0,
+                       kHour);
+    t->out_dst.install(*Prefix6::parse("2001:db8:b::/48"),
+                       DefenseFunction::kCdpStamp, 0, kHour);
+  }
+  peer_now.key_s.set_key(kVictimAs, k_pv);
+  peer_old.key_s.set_key(kVictimAs, k_old);
+  BorderRouter stamp_now(peer_now, kPeerAs, 5);
+  BorderRouter stamp_old(peer_old, kPeerAs, 6);
+  BorderRouter stamp_local(victim, kVictimAs, 7);
+
+  Xoshiro256 rng(0x1417);
+  auto host4 = [&](std::uint32_t net) {
+    return Ipv4Address(net | (static_cast<std::uint32_t>(rng.next()) & 0xffff));
+  };
+  auto host6 = [&](std::uint16_t site) {
+    return Ipv6Address::from_groups(
+        {0x2001, 0xdb8, site, 0, 0, 0, 0,
+         static_cast<std::uint16_t>(rng.below(0xffff))});
+  };
+  auto payload = [&](std::size_t max) {
+    std::vector<std::uint8_t> bytes(rng.below(max + 1));
+    for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next());
+    return bytes;
+  };
+
+  // Outbound: local sources to the peer (stamped, some fragmented, some v6
+  // past the MTU), spoofed sources into the DP prefix (filtered).
+  std::vector<BatchPacket> outbound;
+  for (int i = 0; i < 300; ++i) {
+    const bool spoofed = rng.chance(0.2);
+    if (rng.chance(0.4)) {
+      outbound.emplace_back(Ipv6Packet::make(
+          host6(spoofed ? 0xc : 0xb), host6(0xa), 17,
+          std::vector<std::uint8_t>(180 + rng.below(60))));
+    } else {
+      Ipv4Packet p = Ipv4Packet::make(
+          host4(spoofed ? 0x28000000u : 0x14010000u),
+          host4(rng.chance(0.5) ? 0x0a010000u : 0x0a020000u), IpProto::kUdp,
+          payload(24));
+      if (rng.chance(0.25)) {
+        p.header.flags |= 0x1;
+        p.header.fragment_offset = static_cast<std::uint16_t>(rng.below(64));
+        p.header.refresh_checksum();
+      }
+      outbound.emplace_back(std::move(p));
+    }
+  }
+
+  // Inbound: marks under the current key, the grace key, none or a wrong
+  // one; the tolerance prefix; non-peer sources; quoted-mark ICMP.
+  std::vector<BatchPacket> inbound;
+  for (int i = 0; i < 300; ++i) {
+    const std::uint64_t kind = rng.below(6);
+    if (rng.chance(0.35)) {
+      Ipv6Packet p = Ipv6Packet::make(host6(kind == 4 ? 0xc : 0xa),
+                                      host6(0xb), 17, payload(32));
+      if (kind == 0) (void)stamp_now.process_outbound(p, kNow);
+      if (kind == 1) (void)stamp_old.process_outbound(p, kNow);
+      inbound.emplace_back(std::move(p));
+      continue;
+    }
+    Ipv4Packet p = Ipv4Packet::make(
+        host4(kind == 4 ? 0x28000000u : 0x0a000000u),
+        host4(rng.chance(0.3) ? 0x14020000u : 0x14010000u), IpProto::kUdp,
+        payload(24));
+    if (rng.chance(0.2)) {
+      p.header.flags |= 0x1;
+      p.header.refresh_checksum();
+    }
+    if (kind == 0) (void)stamp_now.process_outbound(p, kNow);
+    if (kind == 1) (void)stamp_old.process_outbound(p, kNow);
+    if (kind == 2) ipv4_stamp(p, AesCmac(derive_key128(99)));
+    if (kind == 5) {
+      Ipv4Packet offending = Ipv4Packet::make(
+          host4(0x14010000u), host4(0x0a000000u), IpProto::kUdp, payload(8));
+      (void)stamp_local.process_outbound(offending, kNow);
+      p = build_time_exceeded_v4(offending, host4(0x28000000u));
+    }
+    inbound.emplace_back(std::move(p));
+  }
+
+  BorderRouter mixed(victim, kVictimAs, 42, kMtu);
+  BorderRouter reference(victim, kVictimAs, 42, kMtu);
+  SinkLog mixed_log;
+  SinkLog reference_log;
+  attach_sinks(mixed, mixed_log);
+  attach_sinks(reference, reference_log);
+  std::vector<BatchPacket> mixed_out = outbound;
+  std::vector<BatchPacket> mixed_in = inbound;
+  std::vector<BatchPacket> reference_out = outbound;
+  std::vector<BatchPacket> reference_in = inbound;
+  std::vector<Verdict> out_verdicts(outbound.size(), Verdict::kDropSpoofed);
+  std::vector<Verdict> in_verdicts(inbound.size(), Verdict::kDropSpoofed);
+  std::vector<Verdict> reference_out_verdicts(outbound.size());
+  std::vector<Verdict> reference_in_verdicts(inbound.size());
+
+  // Alternate: a run of per-packet calls, then one batch call of size 0, 1
+  // or 17 over a shuffled index view, each in a random direction.
+  std::size_t next_out = 0;
+  std::size_t next_in = 0;
+  std::size_t batch_calls = 0;
+  for (std::size_t step = 0;; ++step) {
+    if (next_out == outbound.size() && next_in == inbound.size()) break;
+    const bool out = rng.chance(0.5);
+    std::vector<BatchPacket>& pool = out ? mixed_out : mixed_in;
+    std::vector<BatchPacket>& reference_pool =
+        out ? reference_out : reference_in;
+    std::vector<Verdict>& verdicts = out ? out_verdicts : in_verdicts;
+    std::vector<Verdict>& reference_verdicts =
+        out ? reference_out_verdicts : reference_in_verdicts;
+    std::size_t& next = out ? next_out : next_in;
+    const bool batch = step % 2 == 1;
+    const std::size_t sizes[] = {0, 1, 17};
+    const std::size_t want = batch ? sizes[rng.below(3)] : 1 + rng.below(3);
+    const std::size_t take = std::min(want, pool.size() - next);
+
+    std::vector<std::uint32_t> indices(take);
+    for (std::size_t j = 0; j < take; ++j) {
+      indices[j] = static_cast<std::uint32_t>(next + j);
+    }
+    for (std::size_t j = take; j > 1; --j) {
+      std::swap(indices[j - 1], indices[rng.below(j)]);
+    }
+    if (batch) {
+      ++batch_calls;
+      if (out) {
+        mixed.process_outbound_batch(pool, indices, verdicts, kNow);
+      } else {
+        mixed.process_inbound_batch(pool, indices, verdicts, kNow);
+      }
+    } else {
+      for (const std::uint32_t i : indices) {
+        verdicts[i] = std::visit(
+            [&](auto& p) {
+              return out ? mixed.process_outbound(p, kNow)
+                         : mixed.process_inbound(p, kNow);
+            },
+            pool[i]);
+      }
+    }
+    for (const std::uint32_t i : indices) {
+      reference_verdicts[i] = std::visit(
+          [&](auto& p) {
+            return out ? reference.process_outbound(p, kNow)
+                       : reference.process_inbound(p, kNow);
+          },
+          reference_pool[i]);
+    }
+    next += take;
+  }
+  ASSERT_GT(batch_calls, 20u);
+
+  EXPECT_EQ(out_verdicts, reference_out_verdicts);
+  EXPECT_EQ(in_verdicts, reference_in_verdicts);
+  for (std::size_t i = 0; i < outbound.size(); ++i) {
+    EXPECT_EQ(wire(mixed_out[i]), wire(reference_out[i])) << "outbound " << i;
+  }
+  for (std::size_t i = 0; i < inbound.size(); ++i) {
+    EXPECT_EQ(wire(mixed_in[i]), wire(reference_in[i])) << "inbound " << i;
+  }
+  EXPECT_EQ(mixed.stats(), reference.stats());
+  EXPECT_EQ(mixed_log.icmp6, reference_log.icmp6);
+  EXPECT_EQ(mixed_log.flows, reference_log.flows);
+  ASSERT_EQ(mixed_log.alarms.size(), reference_log.alarms.size());
+  for (std::size_t i = 0; i < mixed_log.alarms.size(); ++i) {
+    EXPECT_EQ(mixed_log.alarms[i].time, reference_log.alarms[i].time);
+    EXPECT_EQ(mixed_log.alarms[i].source_as, reference_log.alarms[i].source_as);
+    EXPECT_EQ(mixed_log.alarms[i].inbound, reference_log.alarms[i].inbound);
+  }
+
+  // The mix reached every branch of both walks.
+  const RouterStats& stats = reference.stats();
+  EXPECT_GT(stats.out_dropped, 0u);
+  EXPECT_GT(stats.out_stamped, 0u);
+  EXPECT_GT(stats.out_too_big, 0u);
+  EXPECT_GT(stats.fragments_stamped, 0u);
+  EXPECT_GT(stats.in_verified, 0u);
+  EXPECT_GT(stats.in_spoof_sampled, 0u);
+  EXPECT_GT(stats.in_erased_tolerance, 0u);
+  EXPECT_GT(stats.in_passed_unverified, 0u);
+  EXPECT_GT(stats.icmp_scrubbed, 0u);
+  EXPECT_FALSE(reference_log.icmp6.empty());
+  EXPECT_FALSE(reference_log.flows.empty());
 }
 
 TEST(RouterStatsTest, MergeSumsEveryField) {

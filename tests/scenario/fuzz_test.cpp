@@ -64,14 +64,14 @@ TEST(ScenarioFuzzTest, NoAttackDeliveredFailsWhenTrafficGetsThrough) {
 
 TEST(ScenarioFuzzTest, CleanSweepFindsNothing) {
   const FuzzResult result =
-      fuzz_scenarios(must_parse(kFuzzBase), {.seed = 1, .iterations = 5});
+      fuzz_scenarios(must_parse(kFuzzBase), {.seed = 1, .iterations = 5, .inject = ""});
   EXPECT_EQ(result.executed, 5u);
   EXPECT_FALSE(result.found);
 }
 
 TEST(ScenarioFuzzTest, FuzzLoopIsDeterministicFromSeed) {
   const ScenarioSpec base = must_parse(kFuzzBase);
-  const FuzzConfig config{.seed = 7, .iterations = 4};
+  const FuzzConfig config{.seed = 7, .iterations = 4, .inject = ""};
   const FuzzResult a = fuzz_scenarios(base, config);
   const FuzzResult b = fuzz_scenarios(base, config);
   EXPECT_EQ(a.executed, b.executed);

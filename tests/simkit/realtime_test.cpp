@@ -78,7 +78,7 @@ TEST(RealtimeDriverTest, TimersAndFdsInterleave) {
   Pipe pipe;
   int reads = 0;
   driver.watch_fd(pipe.read_fd(), [&] {
-    pipe.take();
+    EXPECT_EQ(pipe.take(), 'r');
     ++reads;
   });
   // A timer chain writes into the pipe: timer -> readable -> callback,
@@ -100,7 +100,7 @@ TEST(RealtimeDriverTest, UnwatchStopsDispatch) {
   Pipe pipe;
   int reads = 0;
   driver.watch_fd(pipe.read_fd(), [&] {
-    pipe.take();
+    (void)pipe.take();
     ++reads;
   });
   driver.unwatch_fd(pipe.read_fd());

@@ -2,12 +2,12 @@
 // end-to-end check that DataPlaneEngine::bind_metrics exposes those structs
 // through the registry.
 //
-// The merge operators (RouterStats::operator+=, LpmLookupCache::Stats::
-// operator+=) are written by hand, so a newly added field can silently be
-// dropped from shard merges and scrapes. Both structs are all-uint64_t
-// aggregates, which lets the tests derive the field count from sizeof and
-// walk every field through std::bit_cast: adding a field without updating
-// the merge (or the expected count here) fails loudly.
+// The merge operator RouterStats::operator+= is written by hand, so a newly
+// added field can silently be dropped from shard merges and scrapes. The
+// struct is an all-uint64_t aggregate, which lets the tests derive the field
+// count from sizeof and walk every field through std::bit_cast: adding a
+// field without updating the merge (or the expected count here) fails
+// loudly.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -16,7 +16,6 @@
 
 #include "common/rng.hpp"
 #include "dataplane/engine.hpp"
-#include "dataplane/lpm_cache.hpp"
 #include "dataplane/router.hpp"
 #include "telemetry/metrics.hpp"
 
@@ -58,29 +57,6 @@ TEST(RouterStatsTest, MergingIntoZeroIsIdentity) {
   RouterStats zero;
   zero += a;
   EXPECT_EQ(zero, a);  // the defaulted operator== sees every field
-}
-
-// ---- LpmLookupCache::Stats ----------------------------------------------
-
-constexpr std::size_t kCacheStatsFields =
-    sizeof(LpmLookupCache::Stats) / sizeof(std::uint64_t);
-static_assert(sizeof(LpmLookupCache::Stats) ==
-                  kCacheStatsFields * sizeof(std::uint64_t),
-              "LpmLookupCache::Stats must stay an all-uint64_t aggregate");
-
-using CacheStatsArray = std::array<std::uint64_t, kCacheStatsFields>;
-
-TEST(LpmCacheStatsTest, PlusEqualsCoversEveryField) {
-  CacheStatsArray raw{};
-  for (std::size_t i = 0; i < raw.size(); ++i) raw[i] = 7 + i;
-  const auto a = std::bit_cast<LpmLookupCache::Stats>(raw);
-  auto sum = a;
-  sum += a;
-  const auto folded = std::bit_cast<CacheStatsArray>(sum);
-  for (std::size_t i = 0; i < folded.size(); ++i) {
-    EXPECT_EQ(folded[i], 2 * raw[i])
-        << "LpmLookupCache::Stats field #" << i << " missing from operator+=";
-  }
 }
 
 // ---- Engine scrape end to end -------------------------------------------
